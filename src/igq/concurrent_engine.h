@@ -69,7 +69,9 @@ class ConcurrentQueryEngine {
   /// Executes one query end-to-end against the shared cache and returns
   /// the sorted ids of all related dataset graphs. Thread-safe — this is
   /// the per-stream entry point. A null `stats` skips stats collection
-  /// entirely, as in QueryEngine::Process.
+  /// entirely, as in QueryEngine::Process. Runs the same pipeline as
+  /// ProcessWithBudget under an unarmed control (checks inert, never
+  /// admission-queued).
   std::vector<GraphId> Process(const Graph& query, QueryStats* stats = nullptr);
 
   /// Budgeted execution under the serving lifecycle (serving/budget.h):
@@ -80,15 +82,16 @@ class ConcurrentQueryEngine {
   /// subset, never cached), or a typed rejection. Exact-hit fast-path
   /// lookups bypass admission entirely, so cache hits stay cheap under
   /// overload. A query stopped mid-pipeline commits NOTHING to the shared
-  /// cache; a fully unlimited request (and admission disabled) runs the
-  /// plain Process pipeline and reports kCompleted. Thread-safe like
+  /// cache; a fully unlimited request (admission disabled) leaves every
+  /// check inert and commits exactly as Process does. Thread-safe like
   /// Process.
   QueryResult ProcessWithBudget(const Graph& query,
                                 const serving::QueryRequest& request,
                                 bool collect_stats = false);
 
-  /// Lifecycle outcome counters since construction. Snapshot-independent:
-  /// never serialized, a restored engine starts its overload history fresh.
+  /// Outcome counters over every query since construction, whichever entry
+  /// point ran it. Snapshot-independent: never serialized, a restored
+  /// engine starts its overload history fresh.
   serving::OutcomeCounters serving_counters() const {
     return outcomes_.Snapshot();
   }
@@ -130,7 +133,8 @@ class ConcurrentQueryEngine {
   /// the method (incremental hooks, full Build fallback), then the sharded
   /// cache, patched rather than flushed — removed graphs mark affected
   /// entries dark for the deferred maintenance pass, added graphs join the
-  /// cached answers they belong to. See QueryEngine::ApplyMutation and
+  /// cached answers they belong to. The sequence is ApplyMutationTo
+  /// (apply_mutation.h), shared with QueryEngine::ApplyMutation; see
   /// docs/CONCURRENCY.md.
   MutationResult ApplyMutation(GraphDatabase& db,
                                const GraphMutation& mutation);
@@ -177,37 +181,33 @@ class ConcurrentQueryEngine {
   /// Singleflight record for one canonical key being computed. The leader —
   /// the stream that inserted the record — runs the pipeline and publishes
   /// its answer here; followers park on `cv`. `failed` marks a leader that
-  /// unwound without publishing: followers then run the pipeline themselves
-  /// instead of propagating a missing answer. A *budgeted* leader that
-  /// aborts additionally records why in `leader_outcome` before the wake,
-  /// so parked followers see a typed outcome instead of hanging (they then
-  /// re-check their own budget and either stop or re-run unregistered).
+  /// stopped or unwound without publishing: followers then re-check their
+  /// own budget and either stop or run the pipeline themselves, instead of
+  /// propagating a missing answer.
   struct InFlightQuery {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
     bool failed = false;
     std::vector<GraphId> answer;
-    serving::QueryOutcome leader_outcome;
   };
 
   /// Verification over `candidates`: borrows the shared pool when it is
   /// free and the set is big enough to split, else runs inline. `control`
-  /// (null on the unbudgeted path) propagates cancellation into the
-  /// workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
+  /// propagates cancellation into the workers; on a stopped control the
+  /// result is the trusted subset (VerifyPool::Run contract).
   std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
                                        const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr);
+                                       serving::QueryControl& control);
 
-  /// The budgeted pipeline behind ProcessWithBudget: deadline-aware gate
-  /// acquisition, admission, timed singleflight wait, stage checkpoints,
-  /// deferred cache commits, and the degradation ladder. `control` must be
-  /// armed; the unbudgeted Process body stays untouched.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind every entry point: deadline-aware gate
+  /// acquisition, the exact-hit fast path, admission (limited queries
+  /// only), timed singleflight wait, stage checkpoints, deferred cache
+  /// commits, and the degradation ladder. Checks are inert under an
+  /// unarmed or unlimited `control`. Fills `result` (stats only when
+  /// `collect_stats`) and records its outcome in serving_counters().
+  void RunPipeline(const Graph& query, serving::QueryControl& control,
+                   bool collect_stats, QueryResult& result);
 
   const GraphDatabase* db_;
   Method* method_;
@@ -225,11 +225,11 @@ class ConcurrentQueryEngine {
   std::mutex inflight_mutex_;
   std::atomic<uint64_t> pipeline_executions_{0};
   std::atomic<uint64_t> coalesced_hits_{0};
-  /// The mutation writer gate: shared by every Process for the query's
-  /// whole lifetime, exclusive in ApplyMutation. Queries therefore never
+  /// The mutation writer gate: shared by every query for its whole
+  /// lifetime, exclusive in ApplyMutation. Queries therefore never
   /// observe a half-applied mutation, and the database/method/cache reads
   /// all over the query path need no per-access synchronization. A *timed*
-  /// shared mutex so the budgeted path can bound its wait
+  /// shared mutex so a query with a deadline can bound its wait
   /// (try_lock_shared_until against the query deadline) and report a typed
   /// kGateWait timeout instead of blocking behind a long mutation.
   std::shared_timed_mutex mutation_mutex_;

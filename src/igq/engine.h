@@ -23,7 +23,7 @@
 #include "igq/verify_pool.h"
 #include "methods/method.h"
 #include "serving/budget.h"
-#include "snapshot/snapshot.h"
+#include "snapshot/engine_snapshot.h"
 
 namespace igq {
 
@@ -70,8 +70,9 @@ struct BatchOptions {
   bool collect_stats = true;
 
   /// Per-query budget applied to every query of the batch (serving/budget.h).
-  /// Default-constructed (all zeros) = unlimited: the batch runs the plain,
-  /// bit-identical pipeline. Zero fields fall back to the engine's
+  /// Default-constructed (all zeros) with no `cancel` = unlimited: the
+  /// pipeline's checks stay inert and the cache trajectory is bit-identical
+  /// to per-query Process calls. Zero fields fall back to the engine's
   /// IgqOptions::ServingOptions defaults when the budget is otherwise
   /// active.
   serving::QueryBudget budget;
@@ -85,7 +86,7 @@ struct BatchOptions {
 struct BatchResult {
   std::vector<GraphId> answer;
   QueryStats stats;
-  /// Lifecycle disposition (always kCompleted on the unbudgeted path).
+  /// Lifecycle disposition (always kCompleted for an unlimited batch).
   serving::QueryOutcome outcome;
 };
 
@@ -99,37 +100,22 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// What LoadSnapshot actually restored.
-struct SnapshotLoadInfo {
-  /// True when the snapshot carried a method-index section and the
-  /// engine's method accepted it — Build() is then unnecessary.
-  bool method_index_restored = false;
-  /// Cached queries (Igraphs) restored, excluding pending window entries.
-  size_t cached_queries = 0;
-  /// Mutation state the snapshot was validated against: the database's
-  /// mutation epoch and tombstone count at save time (both 0 for a
-  /// snapshot of a never-mutated dataset, which carries no mutation
-  /// section).
-  uint64_t mutation_epoch = 0;
-  size_t tombstones = 0;
-  /// Why LoadSnapshot failed, when it did (kNone after a successful load):
-  /// corrupt bytes, a format version skew, or a snapshot that belongs to a
-  /// different dataset/configuration. Callers branch on this (igq_tool maps
-  /// it to exit codes; recovery's ladder reports it).
-  snapshot::SnapshotErrorKind error_kind = snapshot::SnapshotErrorKind::kNone;
-};
+/// Arms `control` for `request`: budget fields left at zero fall back to
+/// `defaults` (the engine's IgqOptions::ServingOptions).
+void ArmQueryControl(const serving::QueryRequest& request,
+                     const IgqOptions::ServingOptions& defaults,
+                     serving::QueryControl& control);
 
 /// iGQ on top of any host Method, subgraph or supergraph.
 ///
 /// Thread-safety: an engine is a single logical query stream. Process,
 /// ProcessBatch, and the snapshot calls must not run concurrently with
 /// each other on the same engine — parallelism lives *inside* a query
-/// (the Fig. 6 probe threads and the verification pool, which requires
-/// Method::Verify to be thread-safe). To serve many concurrent streams
-/// over one *shared* cache, use ConcurrentQueryEngine
-/// (concurrent_engine.h); giving each stream its own QueryEngine also
-/// works but keeps the caches private, so streams never share hits. See
-/// docs/CONCURRENCY.md.
+/// (the verification pool, which requires Method::Verify to be
+/// thread-safe). To serve many concurrent streams over one *shared* cache,
+/// use ConcurrentQueryEngine (concurrent_engine.h); giving each stream its
+/// own QueryEngine also works but keeps the caches private, so streams
+/// never share hits. See docs/CONCURRENCY.md.
 class QueryEngine {
  public:
   /// `db` and `method` must outlive the engine; `method` must be
@@ -144,14 +130,16 @@ class QueryEngine {
   /// graphs related to `query` in the method's direction (sorted). Fills
   /// `stats` if non-null; a null `stats` skips stats collection entirely
   /// (no per-stage clock reads, no counter writes), not just the copy-out.
+  /// Runs the same pipeline as ProcessWithBudget under an unarmed control,
+  /// whose checks never fire.
   std::vector<GraphId> Process(const Graph& query, QueryStats* stats = nullptr);
 
-  /// Budgeted execution (serving/budget.h): runs the same pipeline under
-  /// `request`'s deadline/caps/cancellation and returns the typed outcome.
-  /// Budget fields left at zero fall back to the engine's
-  /// IgqOptions::ServingOptions defaults; a fully unlimited request runs
-  /// the plain Process pipeline (bit-identical cache trajectory) and
-  /// reports kCompleted. A query stopped mid-pipeline commits NOTHING —
+  /// Budgeted execution (serving/budget.h): runs the same pipeline as
+  /// Process under `request`'s deadline/caps/cancellation and returns the
+  /// typed outcome. Budget fields left at zero fall back to the engine's
+  /// IgqOptions::ServingOptions defaults; a fully unlimited request leaves
+  /// every check inert, so its cache trajectory is bit-identical to
+  /// Process. A query stopped mid-pipeline commits NOTHING —
   /// no query-counter tick, no §5.1 credits, no insertion — so the cache
   /// state stays bit-identical to an engine that never saw the query; a
   /// stop during or after the prune stage degrades to a cache-composed
@@ -163,8 +151,9 @@ class QueryEngine {
                                 const serving::QueryRequest& request,
                                 bool collect_stats = false);
 
-  /// Lifecycle outcome counters since construction (snapshot-independent:
-  /// never serialized, a restored engine starts fresh).
+  /// Outcome counters over every query since construction, whichever entry
+  /// point ran it (snapshot-independent: never serialized, a restored
+  /// engine starts fresh).
   serving::OutcomeCounters serving_counters() const {
     return outcomes_.Snapshot();
   }
@@ -196,15 +185,16 @@ class QueryEngine {
   bool LoadSnapshot(std::istream& in, std::string* error = nullptr,
                     SnapshotLoadInfo* info = nullptr);
 
-  /// Applies one dataset mutation end-to-end: the database first
-  /// (AddGraph/RemoveGraph), then the method — through its incremental
-  /// hooks when it has them, with a full Build() fallback otherwise — then
-  /// the cache, whose answers are PATCHED in place (an added graph joins
-  /// the cached answers it belongs to, a removed graph is dropped from
-  /// them) so hit rate and §5.1 metadata survive the mutation; nothing is
-  /// flushed. `db` must be the database this engine was constructed over —
-  /// the engine holds it const, so the caller, who owns the mutable
-  /// database, passes it back in explicitly. Not thread-safe against
+  /// Applies one dataset mutation end-to-end (ApplyMutationTo in
+  /// apply_mutation.h): the database first (AddGraph/RemoveGraph), then
+  /// the method — through its incremental hooks when it has them, with a
+  /// full Build() fallback otherwise — then the cache, whose answers are
+  /// PATCHED in place (an added graph joins the cached answers it belongs
+  /// to, a removed graph is dropped from them) so hit rate and §5.1
+  /// metadata survive the mutation; nothing is flushed. `db` must be the
+  /// database this engine was constructed over — the engine holds it
+  /// const, so the caller, who owns the mutable database, passes it back
+  /// in explicitly. Not thread-safe against
   /// concurrent Process/ProcessBatch (single-stream contract; the
   /// concurrent variant lives on ConcurrentQueryEngine).
   MutationResult ApplyMutation(GraphDatabase& db,
@@ -227,20 +217,20 @@ class QueryEngine {
 
  private:
   /// Verification over `candidates`, on the pool when one exists.
-  /// `control` (null on the unbudgeted path) propagates cancellation into
-  /// the workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
+  /// `control` propagates cancellation into the workers; on a stopped
+  /// control the result is the trusted subset (VerifyPool::Run contract).
   std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
                                        const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr) const;
+                                       serving::QueryControl& control) const;
 
-  /// The budgeted pipeline behind ProcessWithBudget: same stages as
-  /// Process, with stage checkpoints, deferred cache commits, and the
-  /// degradation ladder. `control` must be armed and limited.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind every entry point: filter, probe, prune,
+  /// verify, then commit. Stage checkpoints poll `control` (inert when it
+  /// is unarmed or unlimited); cache commits are deferred to completion, so
+  /// a stopped query commits nothing and walks the degradation ladder.
+  /// Fills `result` (stats only when `collect_stats`) and records its
+  /// outcome in serving_counters().
+  void RunPipeline(const Graph& query, serving::QueryControl& control,
+                   bool collect_stats, QueryResult& result);
 
   const GraphDatabase* db_;
   Method* method_;

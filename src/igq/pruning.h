@@ -52,6 +52,17 @@ struct PruneOutcome {
   bool empty_answer_shortcut = false;
 };
 
+/// One deferred §5.1 credit: the consulted entry (its side and index into
+/// the span passed to PruneCandidates), how many candidates it pruned, and
+/// their summed analytic cost. The engines buffer these during the prune
+/// and replay them only when the query completes.
+struct PruneCredit {
+  PruneSide side;
+  size_t index;
+  uint64_t removed;
+  LogValue cost;
+};
+
 /// Reusable buffers for PruneCandidates. The returned outcome lives inside
 /// the scratch, so it stays valid until the same scratch prunes again —
 /// one query at a time per thread, which is exactly how the engines call
@@ -63,6 +74,9 @@ class PruneScratch {
   std::vector<GraphId> unioned;
   std::vector<GraphId> kept;
   std::vector<GraphId> normalized;  // unsorted-candidates fallback only
+  /// The engines' deferred credit buffer (PruneCandidates never touches
+  /// it); cleared per query, so steady state allocates nothing.
+  std::vector<PruneCredit> credits;
 
   static PruneScratch& ThreadLocal();
 };

@@ -188,12 +188,15 @@ bool ShardedQueryCache::TryExactHit(
   }
   *answer = record->answer.ToVector();
   const LogValue cost = cost_of(*answer);
+  // The hit completes the query: tick the query clock before crediting, so
+  // the hit is credited at the same clock step as in the sequential engine.
+  const uint64_t now = ++queries_processed_;
   // One §5.1 credit site, mirroring QueryCache::CreditExactHit: the shared
   // structure lock pins the record, the credit mutex serializes the update.
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
   QueryGraphMetadata& meta = record->meta;
   ++meta.hits;
-  meta.last_hit_at = queries_processed_.load(std::memory_order_relaxed);
+  meta.last_hit_at = now;
   meta.removed_candidates += answer->size();
   meta.cost_saved += cost;
   return true;

@@ -71,10 +71,11 @@ class ShardedQueryCache {
   };
 
   /// Result of probing all shards, holding a shared lock on each until
-  /// destroyed. The engine keeps the session alive through candidate
-  /// pruning (entries are read in place, nothing is copied) and releases it
-  /// before verification, the long stage. Shared locks never block other
-  /// sessions — only a flush's final swap waits for them.
+  /// destroyed. The engine keeps the session alive through pruning
+  /// (entries are read in place, nothing is copied), verification, and the
+  /// deferred §5.1 credits its Hits address, and releases it before Insert.
+  /// Shared locks never block other sessions — only shard-exclusive work
+  /// (an Insert append, a flush's final swap) waits for them.
   class ProbeSession {
    public:
     ProbeSession(ProbeSession&&) = default;
@@ -139,8 +140,10 @@ class ShardedQueryCache {
 
   /// Exact-hit fast path: if `canonical` resolves to a live (not tombstoned)
   /// cached entry — flushed or still in a window, in any shard — copies its
-  /// answer into `*answer`, credits the entry's §5.1 metadata in one step
-  /// (H += 1, R += answer size, C += cost_of(answer)), and returns true.
+  /// answer into `*answer`, ticks the query counter (the hit completes the
+  /// query), credits the entry's §5.1 metadata in one step (H += 1,
+  /// R += answer size, C += cost_of(answer), last hit = the new clock), and
+  /// returns true. A miss ticks nothing.
   /// One global hash lookup plus one shared shard lock; no feature
   /// extraction, no probe, no isomorphism test. `cost_of` is invoked at most
   /// once, with the answer ids, while the entry is pinned — lazily, so a

@@ -63,6 +63,7 @@ void QueryControl::Arm(const QueryBudget& budget,
                        const std::atomic<bool>* cancel) {
   budget_ = budget;
   cancel_ = cancel;
+  armed_ = true;
   start_ = std::chrono::steady_clock::now();
   has_deadline_ = budget_.deadline_micros > 0;
   if (has_deadline_) {
@@ -121,6 +122,7 @@ bool QueryControl::ChargeEmbedding() {
 }
 
 int64_t QueryControl::ElapsedMicros() const {
+  if (!armed_) return 0;
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - start_)
       .count();

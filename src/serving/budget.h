@@ -66,8 +66,8 @@ enum class QueryOutcomeKind : uint8_t {
 const char* QueryOutcomeKindName(QueryOutcomeKind kind);
 
 /// Per-query resource budget. Zero means "unlimited" for every field, so a
-/// default-constructed budget is a no-op and the unbudgeted engine paths
-/// stay bit-identical.
+/// default-constructed budget is a no-op: its checks never fire and the
+/// cache trajectory is bit-identical to an unbudgeted run.
 struct QueryBudget {
   /// Wall-clock deadline in microseconds from the moment the engine accepts
   /// the query (QueryControl::Arm). 0 = no deadline.
@@ -122,9 +122,10 @@ class QueryControl {
   /// Starts the clock. `cancel` may be null (no external cancellation).
   void Arm(const QueryBudget& budget, const std::atomic<bool>* cancel);
 
-  /// True when any limit or the cancel flag is active — the engines take the
-  /// budgeted (deferred-commit) path only in that case, keeping the
-  /// unlimited path byte-for-byte identical to the pre-lifecycle code.
+  /// True when any limit or the cancel flag is active. Every query runs the
+  /// same pipeline either way: on an unlimited control (including one never
+  /// armed) CheckNow reads no clock and never fires, so the checks are
+  /// inert. ConcurrentQueryEngine admits only limited queries.
   bool limited() const { return limited_; }
 
   bool has_deadline() const { return has_deadline_; }
@@ -180,6 +181,7 @@ class QueryControl {
   uint64_t states_charged() const {
     return states_.load(std::memory_order_relaxed);
   }
+  /// Wall time since Arm; 0 without a clock read on a control never armed.
   int64_t ElapsedMicros() const;
 
  private:
@@ -189,6 +191,7 @@ class QueryControl {
   const std::atomic<bool>* cancel_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
   std::chrono::steady_clock::time_point deadline_point_{};
+  bool armed_ = false;
   bool limited_ = false;
   bool has_deadline_ = false;
   std::atomic<uint64_t> states_{0};

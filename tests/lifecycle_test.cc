@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -486,6 +487,56 @@ IgqOptions ConcurrentOptions() {
   options.window_size = 4;
   options.cache_shards = 2;
   return options;
+}
+
+// The concurrent twin of the sequential parity test: two single-stream
+// engines, one fed through Process and one through ProcessWithBudget with a
+// live (never fired) cancel flag, must stay byte-identical — answers,
+// stats, and the saved snapshot after every query. The workload repeats
+// queries so exact hits credit §5.1 metadata, and the small window flushes
+// (and evicts) throughout, so a hit credited at a different query-clock
+// step would change both the bytes and later eviction victims.
+TEST(LifecycleConcurrentTest, BudgetedPipelineParityWithPlainProcess) {
+  const GraphDatabase db = MakeDb(101);
+  auto method_a = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  auto method_b = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  method_a->Build(db);
+  method_b->Build(db);
+  IgqOptions options;
+  options.cache_capacity = 8;
+  options.window_size = 3;
+  options.cache_shards = 1;
+  options.verify_threads = 2;  // the pool path must hold parity too
+  ConcurrentQueryEngine budgeted(db, method_a.get(), options);
+  ConcurrentQueryEngine plain(db, method_b.get(), options);
+
+  CancelSource never_fired;
+  QueryRequest request;
+  request.cancel = &never_fired;
+  const std::vector<Graph> distinct = MakeQueries(db, 103, 14);
+  Rng rng(107);
+  size_t exact_hits = 0;
+  for (size_t i = 0; i < 60; ++i) {
+    // Skewed draw: low indices repeat often (exact hits), high ones rarely.
+    const size_t pick = rng.Below(1 + rng.Below(distinct.size()));
+    const Graph& query = distinct[pick];
+    const QueryResult via_budget =
+        budgeted.ProcessWithBudget(query, request, /*collect_stats=*/true);
+    QueryStats plain_stats;
+    const std::vector<GraphId> via_plain = plain.Process(query, &plain_stats);
+    EXPECT_EQ(via_budget.outcome.kind, QueryOutcomeKind::kCompleted);
+    EXPECT_EQ(via_budget.answer, via_plain) << "query " << i;
+    ExpectSameStats(via_budget.stats, plain_stats, i);
+    if (plain_stats.shortcut == ShortcutKind::kExactHit) ++exact_hits;
+
+    std::ostringstream budgeted_bytes, plain_bytes;
+    ASSERT_TRUE(budgeted.SaveSnapshot(budgeted_bytes));
+    ASSERT_TRUE(plain.SaveSnapshot(plain_bytes));
+    ASSERT_EQ(budgeted_bytes.str(), plain_bytes.str())
+        << "snapshots diverge after query " << i;
+  }
+  EXPECT_GT(exact_hits, 10u);
+  EXPECT_EQ(budgeted.cache().queries_processed(), 60u);
 }
 
 TEST(LifecycleConcurrentTest, GateWaitDeadlineExpiresWhileMutationHolds) {
