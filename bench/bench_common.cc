@@ -67,6 +67,7 @@ RunResult RunWorkload(QueryEngine& engine,
     result.filter_micros += stats.filter_micros;
     result.probe_micros += stats.probe_micros;
     result.verify_micros += stats.verify_micros;
+    result.maintenance_micros += stats.maintenance_micros;
     result.per_query.push_back({workload[i].size_edges, stats.iso_tests,
                                 stats.total_micros,
                                 stats.candidates_initial});

@@ -51,6 +51,9 @@ struct RunResult {
   int64_t filter_micros = 0;
   int64_t probe_micros = 0;
   int64_t verify_micros = 0;
+  /// Window-flush maintenance charged to the measured queries
+  /// (QueryStats::maintenance_micros; part of total_micros).
+  int64_t maintenance_micros = 0;
   /// Per-query (size-class, iso-tests, total-micros, initial-candidates)
   /// tuples for the per-group figures.
   struct PerQuery {

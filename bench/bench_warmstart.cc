@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
   PrintHeader("Warm start — snapshot load vs rebuild from scratch",
               "Cold: Method::Build + replay of the warm-up workload. Warm: "
               "QueryEngine::LoadSnapshot (index + cache in one read, "
-              "Isub/Isuper shadow-rebuilt). Probe answers must be "
+              "Isub/Isuper built on load). Probe answers must be "
               "identical.");
 
   const GraphDatabase db = BuildDataset(profile, scale, seed);

@@ -22,6 +22,10 @@ struct CellResult {
   // end-to-end latency in microseconds.
   uint64_t exact_hits = 0;
   double exact_hit_mean_micros = 0;
+  // The timed runs (kTime only): their stage sums say where a cell's time
+  // goes.
+  RunResult baseline_run;
+  RunResult igq_run;
 };
 
 void FillExactHitStats(const RunResult& run, CellResult* cell) {
@@ -53,14 +57,14 @@ CellResult RunCell(const GraphDatabase& db, Method* method,
   baseline_options.enabled = false;
   {
     QueryEngine engine(db, method, baseline_options);
-    const RunResult run = RunWorkload(engine, workload, warmup);
-    cell.baseline = static_cast<double>(run.total_micros);
+    cell.baseline_run = RunWorkload(engine, workload, warmup);
+    cell.baseline = static_cast<double>(cell.baseline_run.total_micros);
   }
   {
     QueryEngine engine(db, method, igq_options);
-    const RunResult run = RunWorkload(engine, workload, warmup);
-    cell.igq = static_cast<double>(run.total_micros);
-    FillExactHitStats(run, &cell);
+    cell.igq_run = RunWorkload(engine, workload, warmup);
+    cell.igq = static_cast<double>(cell.igq_run.total_micros);
+    FillExactHitStats(cell.igq_run, &cell);
   }
   return cell;
 }
@@ -170,18 +174,45 @@ void RunZipfSweepFigure(const std::string& figure_name, Metric metric,
           workload_name.c_str(), alpha, cell.baseline, cell.igq,
           static_cast<unsigned long long>(cell.exact_hits),
           cell.exact_hit_mean_micros);
-      json.AddRow(
-          {{"dataset", "pdbs"},
-           {"workload", workload_name},
-           {"method", "grapes6"},
-           {"alpha", TablePrinter::Num(alpha, 1)},
-           {"metric", metric == Metric::kIsoTests ? "iso_tests" : "micros"},
-           {"baseline", TablePrinter::Num(cell.baseline, 0)},
-           {"igq", TablePrinter::Num(cell.igq, 0)},
-           {"speedup", TablePrinter::Num(Speedup(cell.baseline, cell.igq), 4)},
-           {"exact_hits", std::to_string(cell.exact_hits)},
-           {"exact_hit_mean_micros",
-            TablePrinter::Num(cell.exact_hit_mean_micros, 2)}});
+      std::vector<std::pair<std::string, std::string>> fields = {
+          {"dataset", "pdbs"},
+          {"workload", workload_name},
+          {"method", "grapes6"},
+          {"alpha", TablePrinter::Num(alpha, 1)},
+          {"metric", metric == Metric::kIsoTests ? "iso_tests" : "micros"},
+          {"baseline", TablePrinter::Num(cell.baseline, 0)},
+          {"igq", TablePrinter::Num(cell.igq, 0)},
+          {"speedup", TablePrinter::Num(Speedup(cell.baseline, cell.igq), 4)},
+          {"exact_hits", std::to_string(cell.exact_hits)},
+          {"exact_hit_mean_micros",
+           TablePrinter::Num(cell.exact_hit_mean_micros, 2)}};
+      if (metric == Metric::kTime) {
+        // Stage sums (µs over the measured queries). What the stages leave
+        // of the total is canonicalization, preparation, answer assembly
+        // and the cache insert.
+        const RunResult& base = cell.baseline_run;
+        const RunResult& igq = cell.igq_run;
+        std::printf(
+            "[stages] %s/α=%.1f: baseline filter=%lld verify=%lld | igq "
+            "filter=%lld probe+prune=%lld verify=%lld maintenance=%lld\n",
+            workload_name.c_str(), alpha,
+            static_cast<long long>(base.filter_micros),
+            static_cast<long long>(base.verify_micros),
+            static_cast<long long>(igq.filter_micros),
+            static_cast<long long>(igq.probe_micros),
+            static_cast<long long>(igq.verify_micros),
+            static_cast<long long>(igq.maintenance_micros));
+        fields.insert(
+            fields.end(),
+            {{"baseline_filter_micros", std::to_string(base.filter_micros)},
+             {"baseline_verify_micros", std::to_string(base.verify_micros)},
+             {"igq_filter_micros", std::to_string(igq.filter_micros)},
+             {"igq_probe_micros", std::to_string(igq.probe_micros)},
+             {"igq_verify_micros", std::to_string(igq.verify_micros)},
+             {"igq_maintenance_micros",
+              std::to_string(igq.maintenance_micros)}});
+      }
+      json.AddRow(std::move(fields));
     }
     table.AddRow(std::move(row));
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -49,6 +50,14 @@ inline Label PathKeyLabelAt(PathKey key, size_t i) {
 /// convention is applied uniformly to dataset and query graphs, which is all
 /// the counting filters require.
 using PathFeatureCounts = std::unordered_map<PathKey, uint32_t>;
+
+/// The same multiset as (key, count) pairs sorted by key: the compact,
+/// deterministic form the query cache keeps per entry so its probe indexes
+/// can post an entry's features without re-enumerating its graph.
+using SortedPathFeatures = std::vector<std::pair<PathKey, uint32_t>>;
+
+/// `counts` as SortedPathFeatures.
+SortedPathFeatures SortPathFeatures(const PathFeatureCounts& counts);
 
 /// Multiset of string-keyed features (canonical trees / cycles).
 using StringFeatureCounts = std::unordered_map<std::string, uint32_t>;

@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "common/id_map.h"
 #include "graph/graph.h"
 
 namespace igq {
@@ -161,6 +162,11 @@ class CsrViewStore {
   /// the store in place instead of forcing a full rebuild. Requires
   /// exclusive access, like Build.
   void Append(const Graph& graph) { views_.emplace_back().Assign(graph); }
+  /// Keeps the views `id_map` keeps, renumbered (common/id_map.h) — the
+  /// cached-query relink, which then Appends the new entries' views.
+  void Compact(std::span<const uint32_t> id_map) {
+    CompactByIdMap(views_, id_map);
+  }
 
   void Clear() { views_.clear(); }
   bool empty() const { return views_.empty(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/id_map.h"
 #include "common/timer.h"
 #include "features/canonical.h"
 #include "isomorphism/match_core.h"
@@ -16,6 +17,25 @@ namespace {
 /// recomputing the keys from the stored graphs (docs/FORMATS.md).
 constexpr uint32_t kCacheStateVersion = 2;
 constexpr uint32_t kCacheStateVersionNoCanonical = 1;
+
+/// §5.1 eviction score of `entry` under `policy` when the global query
+/// counter reads `now`: lower evicts first.
+double EvictionScore(ReplacementPolicy policy, const CachedQuery& entry,
+                     uint64_t now) {
+  const QueryGraphMetadata& meta = entry.meta;
+  switch (policy) {
+    case ReplacementPolicy::kUtility:
+      return meta.Utility(now).log();
+    case ReplacementPolicy::kPopularity:
+      return static_cast<double>(meta.hits) /
+             static_cast<double>(meta.QueriesSinceInsertion(now));
+    case ReplacementPolicy::kLru:
+      return static_cast<double>(meta.last_hit_at);
+    case ReplacementPolicy::kFifo:
+      return static_cast<double>(entry.id);
+  }
+  return 0.0;
+}
 
 }  // namespace
 
@@ -76,29 +96,39 @@ bool LoadCachedQuery(snapshot::BinaryReader& reader, CachedQuery* record,
   return true;
 }
 
-double EvictionScore(ReplacementPolicy policy, const CachedQuery& entry,
-                     uint64_t now) {
-  const QueryGraphMetadata& meta = entry.meta;
-  switch (policy) {
-    case ReplacementPolicy::kUtility:
-      return meta.Utility(now).log();
-    case ReplacementPolicy::kPopularity:
-      return static_cast<double>(meta.hits) /
-             static_cast<double>(meta.QueriesSinceInsertion(now));
-    case ReplacementPolicy::kLru:
-      return static_cast<double>(meta.last_hit_at);
-    case ReplacementPolicy::kFifo:
-      return static_cast<double>(entry.id);
+std::vector<uint32_t> EvictionIdMap(ReplacementPolicy policy,
+                                    const std::vector<CachedQuery>& entries,
+                                    uint64_t now, size_t keep) {
+  std::vector<uint32_t> id_map(entries.size());
+  std::iota(id_map.begin(), id_map.end(), 0);
+  if (entries.size() <= keep) return id_map;
+  // Scores are computed once per entry, not per comparison.
+  std::vector<double> scores(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    scores[i] = EvictionScore(policy, entries[i], now);
   }
-  return 0.0;
+  std::vector<size_t> order(entries.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&scores, &entries](size_t a, size_t b) {
+                     if (scores[a] != scores[b]) return scores[a] < scores[b];
+                     return entries[a].id < entries[b].id;  // older first
+                   });
+  for (size_t i = 0; i < entries.size() - keep; ++i) {
+    id_map[order[i]] = kDroppedId;
+  }
+  uint32_t next = 0;
+  for (uint32_t& id : id_map) {
+    if (id != kDroppedId) id = next++;
+  }
+  return id_map;
 }
 
 QueryCache::QueryCache(const IgqOptions& options, size_t universe)
     : options_(options), universe_(universe) {
   enumerator_options_.max_edges = options.path_max_edges;
   enumerator_options_.include_single_vertices = true;
-  isub_ = IsubIndex(enumerator_options_);
-  isuper_ = IsuperIndex(enumerator_options_);
+  index_ = IgqIndex(enumerator_options_);
 }
 
 PathFeatureCounts QueryCache::ExtractFeatures(const Graph& query) const {
@@ -109,10 +139,10 @@ CacheProbe QueryCache::Probe(const Graph& query,
                              const PathFeatureCounts& query_features) const {
   CacheProbe probe;
   if (entries_.empty()) return probe;
-  isub_.FindSupergraphsOf(query, query_features, &probe.supergraph_positions,
-                          &probe.probe_iso_tests);
-  isuper_.FindSubgraphsOf(query, query_features, &probe.subgraph_positions,
-                          &probe.probe_iso_tests);
+  index_.FindSupergraphsOf(query, query_features,
+                           &probe.supergraph_positions, &probe.probe_iso_tests);
+  index_.FindSubgraphsOf(query, query_features, &probe.subgraph_positions,
+                         &probe.probe_iso_tests);
 
   // Exact-match shortcut (§4.3): g related to G by containment and equal in
   // node and edge count means g and G are isomorphic.
@@ -163,19 +193,22 @@ size_t QueryCache::FindExactByKey(const std::string& canonical) const {
   return it == canonical_index_.end() ? SIZE_MAX : it->second;
 }
 
-void QueryCache::Insert(const Graph& query, std::vector<GraphId> answer) {
-  Insert(query, std::move(answer), GraphCanonicalCode(query));
+int64_t QueryCache::Insert(const Graph& query, std::vector<GraphId> answer) {
+  return Insert(query, std::move(answer), GraphCanonicalCode(query),
+                ExtractFeatures(query));
 }
 
-void QueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
-                        std::string canonical) {
+int64_t QueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
+                           std::string canonical,
+                           const PathFeatureCounts& features) {
   for (const CachedQuery& queued : window_) {
-    if (queued.graph == query) return;  // window-level duplicate
+    if (queued.graph == query) return 0;  // window-level duplicate
   }
   CachedQuery record;
   record.id = next_id_++;
   record.graph = query;
   record.canonical = std::move(canonical);
+  record.features = SortPathFeatures(features);
   // FromIds is the one shared normalization path (also used by the sharded
   // cache): it detects the already-sorted answers the engines produce in
   // one pass instead of unconditionally re-sorting, and picks the adaptive
@@ -183,7 +216,10 @@ void QueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
   record.answer = IdSet::FromIds(std::move(answer), universe_);
   record.meta.inserted_at = queries_processed_;
   window_.push_back(std::move(record));
-  if (window_.size() >= options_.window_size) Flush();
+  if (window_.size() < options_.window_size) return 0;
+  const int64_t before = maintenance_micros_;
+  Flush();
+  return maintenance_micros_ - before;
 }
 
 void QueryCache::Flush() {
@@ -191,49 +227,25 @@ void QueryCache::Flush() {
   Timer timer;
 
   // Eviction (§5.1): only pre-existing entries compete; the incoming window
-  // always enters so fresh queries get a chance to accumulate utility.
+  // always enters so fresh queries get a chance to accumulate utility. The
+  // survivors keep their order and the window follows them, so one
+  // monotone old->new position map describes the whole change.
   const size_t incoming = window_.size();
   const size_t target_old =
       options_.cache_capacity > incoming ? options_.cache_capacity - incoming
                                          : 0;
-  if (entries_.size() > target_old) {
-    const size_t evict = entries_.size() - target_old;
-    // Eviction score (EvictionScore): lower evicts first. kUtility is the
-    // paper's policy; the alternatives back the replacement ablation bench.
-    auto score = [this](const CachedQuery& entry) {
-      return EvictionScore(options_.replacement_policy, entry,
-                           queries_processed_);
-    };
-    std::vector<size_t> order(entries_.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [this, &score](size_t a, size_t b) {
-                       const double sa = score(entries_[a]);
-                       const double sb = score(entries_[b]);
-                       if (sa != sb) return sa < sb;
-                       return entries_[a].id < entries_[b].id;  // older first
-                     });
-    std::vector<bool> evicted(entries_.size(), false);
-    for (size_t i = 0; i < evict; ++i) evicted[order[i]] = true;
-    std::vector<CachedQuery> survivors;
-    survivors.reserve(entries_.size() - evict);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (!evicted[i]) survivors.push_back(std::move(entries_[i]));
-    }
-    entries_ = std::move(survivors);
-  }
+  const std::vector<uint32_t> id_map = EvictionIdMap(
+      options_.replacement_policy, entries_, queries_processed_, target_old);
+  CompactByIdMap(entries_, id_map);
 
   for (CachedQuery& record : window_) entries_.push_back(std::move(record));
   window_.clear();
 
-  // Shadow rebuild (§5.2): build fresh sub-indexes over the new Igraphs and
-  // swap them in atomically from the query path's perspective.
-  IsubIndex fresh_isub(enumerator_options_);
-  fresh_isub.Build(entries_);
-  IsuperIndex fresh_isuper(enumerator_options_);
-  fresh_isuper.Build(entries_);
-  isub_ = std::move(fresh_isub);
-  isuper_ = std::move(fresh_isuper);
+  // Index maintenance (§5.2) by relink: evicted postings drop out, the
+  // survivors' are renumbered, and only the window entries are indexed —
+  // from the features their own probes extracted. The result answers
+  // exactly as a rebuild over the new Igraphs would.
+  index_.Relink(entries_, id_map);
   RebuildCanonicalIndex();
 
   maintenance_micros_ += timer.ElapsedMicros();
@@ -257,9 +269,9 @@ void QueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
     const PathFeatureCounts features = ExtractFeatures(graph);
     size_t probe_tests = 0;
     if (direction == QueryDirection::kSubgraph) {
-      isuper_.FindSubgraphsOf(graph, features, &affected, &probe_tests);
+      index_.FindSubgraphsOf(graph, features, &affected, &probe_tests);
     } else {
-      isub_.FindSupergraphsOf(graph, features, &affected, &probe_tests);
+      index_.FindSupergraphsOf(graph, features, &affected, &probe_tests);
     }
   }
   std::vector<uint8_t> gains(entries_.size(), 0);
@@ -278,22 +290,24 @@ void QueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
 
   // Window entries are invisible to the probe indexes until the next flush;
   // test them directly (both compiled halves live in this thread's match
-  // scratch, as in the probe indexes).
+  // scratch, as in the probe indexes). The new graph is the same half of
+  // every test, so it is laid out once, not once per window entry.
   MatchContext& ctx = MatchContext::ThreadLocal();
   MatchPlan& plan = ctx.scratch_plan();
   CsrGraphView& view = ctx.scratch_target();
+  const bool subgraph = direction == QueryDirection::kSubgraph;
+  if (subgraph) {
+    view.Assign(graph);  // q ⊆ new graph: the new graph is the target
+  } else {
+    plan.Compile(graph);  // new graph ⊆ q: the new graph is the pattern
+  }
   for (CachedQuery& queued : window_) {
-    bool gains_id;
-    if (direction == QueryDirection::kSubgraph) {
+    if (subgraph) {
       plan.Compile(queued.graph);
-      view.Assign(graph);
-      gains_id = PlanContains(plan, view, ctx);  // q ⊆ new graph
     } else {
-      plan.Compile(graph);
       view.Assign(queued.graph);
-      gains_id = PlanContains(plan, view, ctx);  // new graph ⊆ q
     }
-    repatch(queued, gains_id);
+    repatch(queued, PlanContains(plan, view, ctx));
   }
 }
 
@@ -376,6 +390,7 @@ bool QueryCache::Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
     if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
       return false;
     }
+    record.features = SortPathFeatures(ExtractFeatures(record.graph));
     entries.push_back(std::move(record));
   }
   uint64_t num_window = 0;
@@ -387,34 +402,32 @@ bool QueryCache::Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
     if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
       return false;
     }
+    record.features = SortPathFeatures(ExtractFeatures(record.graph));
     window.push_back(std::move(record));
   }
 
-  // Commit, then shadow-rebuild the derived sub-indexes (§5.2) over the
-  // restored Igraphs — the window stays invisible until its next flush,
-  // exactly as on the engine that produced the snapshot.
+  // Commit, then build the derived sub-indexes over the restored Igraphs
+  // (the flush's relink, with every entry new) — the window stays
+  // invisible until its next flush, exactly as on the engine that produced
+  // the snapshot.
   entries_ = std::move(entries);
   window_ = std::move(window);
   queries_processed_ = queries_processed;
   next_id_ = next_id;
   Timer timer;
-  IsubIndex fresh_isub(enumerator_options_);
-  fresh_isub.Build(entries_);
-  IsuperIndex fresh_isuper(enumerator_options_);
-  fresh_isuper.Build(entries_);
-  isub_ = std::move(fresh_isub);
-  isuper_ = std::move(fresh_isuper);
+  index_.Build(entries_);
   RebuildCanonicalIndex();
   maintenance_micros_ += timer.ElapsedMicros();
   return true;
 }
 
 size_t QueryCache::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + isub_.MemoryBytes() + isuper_.MemoryBytes();
+  size_t bytes = sizeof(*this) + index_.MemoryBytes();
   for (const CachedQuery& record : entries_) {
     bytes += record.graph.MemoryBytes();
     bytes += record.answer.MemoryBytes();
     bytes += record.canonical.capacity();
+    bytes += record.features.capacity() * sizeof(record.features[0]);
     bytes += sizeof(CachedQuery);
   }
   // The exact-hit map: one bucket + stored key per flushed entry.

@@ -12,8 +12,7 @@
 
 #include "features/feature_set.h"
 #include "features/path_enumerator.h"
-#include "igq/isub_index.h"
-#include "igq/isuper_index.h"
+#include "igq/igq_index.h"
 #include "igq/options.h"
 #include "igq/query_record.h"
 
@@ -37,7 +36,7 @@ struct CacheProbe {
 };
 
 /// Igraphs + Isub + Isuper + Stat(iGQ Graph) + Itemp, with the §5.2
-/// maintenance protocol (batch window, utility eviction, shadow rebuild).
+/// maintenance protocol (batch window, utility eviction, index relink).
 ///
 /// Thread-safety: none — this is the single-stream cache behind QueryEngine,
 /// and every member (including the const accessors, which read state that
@@ -45,7 +44,7 @@ struct CacheProbe {
 /// ShardedQueryCache (sharded_cache.h), which partitions this same state by
 /// graph hash under reader–writer locks; the two caches share the record
 /// format (SaveCachedQuery/LoadCachedQuery) and the §5.1 eviction scoring
-/// (EvictionScore) so their maintenance picks identical victims for
+/// (EvictionIdMap) so their maintenance picks identical victims for
 /// identical state. See docs/CONCURRENCY.md for the full threading model.
 class QueryCache {
  public:
@@ -54,7 +53,7 @@ class QueryCache {
   /// universe — is valid and keeps every answer in array form.
   explicit QueryCache(const IgqOptions& options, size_t universe = 0);
 
-  // The sub-indexes hold a pointer to entries_; keep the object pinned.
+  // The index holds a pointer to entries_; keep the object pinned.
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
@@ -94,17 +93,21 @@ class QueryCache {
   void CreditExactHit(size_t position, uint64_t removed, LogValue cost);
 
   /// Queues the executed query and its answer into Itemp; when the window
-  /// fills, triggers Flush(). Duplicates (structurally equal graphs) already
-  /// queued in the window are dropped. The two-argument form computes the
-  /// canonical key itself; engines pass the key they already computed for
-  /// the fast-path lookup.
-  void Insert(const Graph& query, std::vector<GraphId> answer);
-  void Insert(const Graph& query, std::vector<GraphId> answer,
-              std::string canonical);
+  /// fills, triggers Flush() — synchronously, on this call. Duplicates
+  /// (structurally equal graphs) already queued in the window are dropped.
+  /// Returns the microseconds this call spent in Flush() (0 when it did not
+  /// flush), i.e. the growth of maintenance_micros(). The two-argument form
+  /// computes the canonical key and the path features itself; engines pass
+  /// the key they already computed for the fast-path lookup and the
+  /// features they extracted for the probe (ExtractFeatures).
+  int64_t Insert(const Graph& query, std::vector<GraphId> answer);
+  int64_t Insert(const Graph& query, std::vector<GraphId> answer,
+                 std::string canonical, const PathFeatureCounts& features);
 
   /// Forces window integration: evicts the lowest-utility graphs to respect
-  /// the capacity, appends the window, rebuilds Isub/Isuper ("shadow"
-  /// instances swapped in) and clears Itemp.
+  /// the capacity, appends the window after the survivors, relinks Isub and
+  /// Isuper (evicted postings dropped, survivors renumbered, only the window
+  /// entries indexed — from their stored features) and clears Itemp.
   void Flush();
 
   /// Dataset-mutation patching: instead of flushing the cache when the
@@ -134,11 +137,13 @@ class QueryCache {
   size_t window_fill() const { return window_.size(); }
   uint64_t queries_processed() const { return queries_processed_; }
 
-  /// Total time spent in Flush(), reported separately from query latency
-  /// (the paper performs maintenance on a shadow index off the query path).
+  /// Total time spent in Flush() and in Load()'s index build. Flushes run on
+  /// the query path — inside the Insert of the query that fills the window,
+  /// and so inside that query's latency (QueryStats::maintenance_micros).
   int64_t maintenance_micros() const { return maintenance_micros_; }
 
-  /// Heap footprint of the cache indexes + stored graphs (Fig. 18).
+  /// Heap footprint of the cache indexes + stored graphs and their stored
+  /// features (Fig. 18).
   size_t MemoryBytes() const;
 
   /// Serializes the complete behavioral state: every cached entry (graph,
@@ -146,13 +151,13 @@ class QueryCache {
   /// (Itemp), and the query/id counters. `num_graphs` and `dataset_crc`
   /// (size and content fingerprint of the dataset the answers refer to,
   /// see snapshot::DatasetFingerprint) are stamped into the payload.
-  /// Isub/Isuper are NOT serialized — they are derived data,
-  /// shadow-rebuilt on load per §5.2.
+  /// Isub/Isuper and the entries' path features are NOT serialized — they
+  /// are derived data, rebuilt on load.
   void Save(snapshot::BinaryWriter& writer, uint64_t num_graphs,
             uint32_t dataset_crc) const;
 
-  /// Restores state saved by Save() and shadow-rebuilds Isub/Isuper over
-  /// the restored entries. An engine restored this way replays a query
+  /// Restores state saved by Save(), recomputes every entry's path features
+  /// and builds Isub/Isuper over the restored entries. An engine restored this way replays a query
   /// stream with the same hits, prunes, and replacement victims as the one
   /// that produced the snapshot. Returns false — leaving this cache
   /// unchanged — on malformed input, a dataset size or content-fingerprint
@@ -174,8 +179,7 @@ class QueryCache {
   PathEnumeratorOptions enumerator_options_;
   std::vector<CachedQuery> entries_;
   std::vector<CachedQuery> window_;  // Itemp
-  IsubIndex isub_;
-  IsuperIndex isuper_;
+  IgqIndex index_;  // Isub + Isuper
   /// canonical code -> position in entries_, rebuilt on Flush/Load next to
   /// the probe indexes (it is derived data too). Flushed entries only.
   std::unordered_map<std::string, size_t> canonical_index_;
@@ -184,12 +188,17 @@ class QueryCache {
   int64_t maintenance_micros_ = 0;
 };
 
-/// §5.1 eviction score of `entry` under `policy` when the global query
-/// counter reads `now`: lower evicts first (kUtility is U(g) = C(g)/M(g) in
-/// log space). Shared by QueryCache::Flush and the sharded cache's deferred
-/// maintenance so both pick identical victims for identical state.
-double EvictionScore(ReplacementPolicy policy, const CachedQuery& entry,
-                     uint64_t now);
+/// §5.1 victim selection: the old->new position map (common/id_map.h) of a
+/// flush that keeps `keep` of `entries` when the global query counter reads
+/// `now`. The rest — lowest eviction score first, the older id first on a
+/// tie — map to kDroppedId; survivors keep their order. The score is
+/// U(g) = C(g)/M(g) in log space under kUtility (the paper's policy); the
+/// other policies back the replacement ablation. Shared by QueryCache::Flush
+/// and the sharded cache's deferred maintenance so both pick identical
+/// victims for identical state.
+std::vector<uint32_t> EvictionIdMap(ReplacementPolicy policy,
+                                    const std::vector<CachedQuery>& entries,
+                                    uint64_t now, size_t keep);
 
 /// Serializes one cached-query record (graph, canonical key, sorted answer,
 /// §5.1 metadata) in the snapshot record format shared by QueryCache and

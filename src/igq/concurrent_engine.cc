@@ -362,11 +362,14 @@ void ConcurrentQueryEngine::RunPipeline(const Graph& query,
   // commit — its shared shard locks pin the Hit positions. The hold blocks
   // only shard-exclusive work (inserts, flush swaps), never other probes.
   std::optional<ShardedQueryCache::ProbeSession> session;
+  // Extracted for the probe, kept for the insert (the flush indexes the
+  // entry from them).
+  PathFeatureCounts features;
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
     {
       ScopedTimer probe_timer(probe_sink);
-      const PathFeatureCounts features = cache_->ExtractFeatures(query);
+      features = cache_->ExtractFeatures(query);
       session.emplace(cache_->Probe(query, features));
     }
     // A stop during the probe makes its results garbage (an interrupted
@@ -488,7 +491,9 @@ void ConcurrentQueryEngine::RunPipeline(const Graph& query,
       session->CreditPrune(hit, credit.removed, credit.cost);
     }
     session.reset();
-    cache_->Insert(query, answer, canonical);
+    const int64_t maintenance =
+        cache_->Insert(query, answer, canonical, features);
+    if (stats != nullptr) stats->maintenance_micros = maintenance;
     publish.Publish(answer);
   }
   finish(std::move(answer));

@@ -143,6 +143,9 @@ void QueryEngine::RunPipeline(const Graph& query,
   const size_t query_nodes = query.NumVertices();
   CacheProbe probe;
   std::string canonical;
+  // Extracted for the probe, kept for the insert: the cache indexes the
+  // entry from them when its window flushes.
+  PathFeatureCounts features;
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
     size_t exact_position = SIZE_MAX;
@@ -151,7 +154,7 @@ void QueryEngine::RunPipeline(const Graph& query,
       canonical = GraphCanonicalCode(query);
       exact_position = cache_->FindExactByKey(canonical);
       if (exact_position == SIZE_MAX) {
-        const PathFeatureCounts features = cache_->ExtractFeatures(query);
+        features = cache_->ExtractFeatures(query);
         probe = cache_->Probe(query, features);
       }
     }
@@ -261,9 +264,9 @@ void QueryEngine::RunPipeline(const Graph& query,
 
   // Stages 6-8 (Fig. 6), the commit: counter tick, prune credits (hit +
   // prune per consulted entry, in consultation order), then the insertion
-  // of the executed query; maintenance (window flush + shadow rebuild) is
-  // timed inside the cache. The canonical key was already computed for the
-  // fast-path lookup.
+  // of the executed query; maintenance (window flush + index relink) is
+  // timed inside the cache and charged to this query. The canonical key and
+  // the features were already computed for the lookup and the probe.
   if (options_.enabled) {
     cache_->RecordQueryProcessed();
     for (const PruneCredit& credit : prune_scratch.credits) {
@@ -273,7 +276,9 @@ void QueryEngine::RunPipeline(const Graph& query,
       cache_->CreditHit(position);
       cache_->CreditPrune(position, credit.removed, credit.cost);
     }
-    cache_->Insert(query, answer, std::move(canonical));
+    const int64_t maintenance =
+        cache_->Insert(query, answer, std::move(canonical), features);
+    if (stats != nullptr) stats->maintenance_micros = maintenance;
   }
   finish(std::move(answer));
 }

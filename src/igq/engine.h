@@ -47,7 +47,12 @@ struct QueryStats {
   int64_t filter_micros = 0;   // host-method filtering stage
   int64_t probe_micros = 0;    // iGQ index probing + candidate pruning
   int64_t verify_micros = 0;   // verification stage
-  int64_t total_micros = 0;    // end-to-end (excludes amortized maintenance)
+  /// Window-flush maintenance charged to this query: the flush its cache
+  /// insert ran (0 for every query that did not fill a window).
+  int64_t maintenance_micros = 0;
+  /// End-to-end, including maintenance_micros — the flush runs inside the
+  /// query's insert, on the query path.
+  int64_t total_micros = 0;
 
   size_t candidates_initial = 0;  // |CS(g)| from the host method
   size_t candidates_final = 0;    // |CS_igq(g)| actually verified

@@ -8,6 +8,7 @@
 
 #include "common/id_set.h"
 #include "common/log_space.h"
+#include "features/feature_set.h"
 #include "graph/graph.h"
 #include "methods/method.h"
 
@@ -52,6 +53,12 @@ struct CachedQuery {
   /// probe plus isomorphism test. Persisted in snapshot record version 2;
   /// recomputed from `graph` when loading older snapshots (docs/FORMATS.md).
   std::string canonical;
+  /// The graph's path features (cache enumerator options), sorted by key:
+  /// what the Isub/Isuper relink posts when the entry joins the indexes,
+  /// so a flush never re-enumerates a cached graph. Taken from the
+  /// extraction the query's own probe already ran. Derived data — never
+  /// serialized, recomputed from `graph` on snapshot load.
+  SortedPathFeatures features;
   IdSet answer;
   QueryGraphMetadata meta;
   /// Lazy-removal marker (sharded cache only): set when a dataset graph in

@@ -1,8 +1,8 @@
 #include "igq/sharded_cache.h"
 
 #include <algorithm>
-#include <numeric>
 
+#include "common/id_map.h"
 #include "common/timer.h"
 #include "features/canonical.h"
 #include "igq/cache.h"
@@ -53,8 +53,7 @@ ShardedQueryCache::ShardedQueryCache(const IgqOptions& options,
   for (size_t s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->entries = std::make_unique<std::vector<CachedQuery>>();
-    shard->isub = IsubIndex(enumerator_options_);
-    shard->isuper = IsuperIndex(enumerator_options_);
+    shard->index = IgqIndex(enumerator_options_);
     shards_.push_back(std::move(shard));
   }
 }
@@ -119,17 +118,16 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     if (shard.entries->empty()) continue;
-    // Entries marked dark since the last shadow rebuild still have postings
-    // in the current indexes; drop them here (a dark entry's answer may
-    // hold a removed graph until compaction).
-    shard.isub.FindSupergraphsOf(query, query_features, &positions,
-                                 &session.probe_iso_tests_);
+    // Dark entries keep their postings until compaction; drop them here (a
+    // dark entry's answer may hold a removed graph).
+    shard.index.FindSupergraphsOf(query, query_features, &positions,
+                                  &session.probe_iso_tests_);
     for (size_t position : positions) {
       if ((*shard.entries)[position].tombstoned) continue;
       session.supergraph_hits_.push_back(Hit{s, position});
     }
-    shard.isuper.FindSubgraphsOf(query, query_features, &positions,
-                                 &session.probe_iso_tests_);
+    shard.index.FindSubgraphsOf(query, query_features, &positions,
+                                &session.probe_iso_tests_);
     for (size_t position : positions) {
       if ((*shard.entries)[position].tombstoned) continue;
       session.subgraph_hits_.push_back(Hit{s, position});
@@ -202,16 +200,21 @@ bool ShardedQueryCache::TryExactHit(
   return true;
 }
 
-void ShardedQueryCache::Insert(const Graph& query,
-                               std::vector<GraphId> answer) {
-  Insert(query, std::move(answer), GraphCanonicalCode(query));
+int64_t ShardedQueryCache::Insert(const Graph& query,
+                                  std::vector<GraphId> answer) {
+  return Insert(query, std::move(answer), GraphCanonicalCode(query),
+                ExtractFeatures(query));
 }
 
-void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
-                               std::string canonical) {
+int64_t ShardedQueryCache::Insert(const Graph& query,
+                                  std::vector<GraphId> answer,
+                                  std::string canonical,
+                                  const PathFeatureCounts& features) {
   const uint64_t query_hash = GraphShardHash(query);
   const size_t shard_index = static_cast<size_t>(query_hash % shards_.size());
   Shard& shard = *shards_[shard_index];
+  // Sorted before the exclusive section, which should stay cheap.
+  SortedPathFeatures sorted_features = SortPathFeatures(features);
   bool flush_due = false;
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
@@ -227,27 +230,29 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
           (*shard.entries)[i].graph == query) {
         // A dark duplicate is revived in place: the incoming answer is the
         // engine's fresh result for this exact graph, so it replaces the
-        // stale one and the entry rejoins the probe path at the next shadow
-        // rebuild (metadata — and with it the §5.1 utility — survives).
+        // stale one and the entry rejoins the probe path at once — its
+        // postings never left the indexes (metadata — and with it the §5.1
+        // utility — survives).
         // Without this, compaction would later surface a second copy.
         CachedQuery& existing = (*shard.entries)[i];
         if (existing.tombstoned) {
           existing.answer = IdSet::FromIds(std::move(answer), universe_);
           existing.tombstoned = false;
         }
-        return;
+        return 0;
       }
     }
     for (size_t i = 0; i < shard.window_hashes.size(); ++i) {
       if (shard.window_hashes[i] == query_hash &&
           shard.window[i].graph == query) {
-        return;
+        return 0;
       }
     }
     CachedQuery record;
     record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     record.graph = query;
     record.canonical = canonical;
+    record.features = std::move(sorted_features);
     // Shared normalization with QueryCache::Insert: sortedness detected in
     // one pass (answers arrive sorted), representation picked adaptively.
     record.answer = IdSet::FromIds(std::move(answer), universe_);
@@ -268,11 +273,12 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
     }
     flush_due = shard.window.size() >= shard_window_;
   }
-  if (flush_due) MaintainShard(shard_index, /*force=*/false, /*wait=*/false);
+  if (!flush_due) return 0;
+  return MaintainShard(shard_index, /*force=*/false, /*wait=*/false);
 }
 
-void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
-                                      bool wait) {
+int64_t ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
+                                         bool wait) {
   Shard& shard = *shards_[shard_index];
   std::unique_lock<std::mutex> gate(shard.maintenance_mutex, std::defer_lock);
   if (wait) {
@@ -280,13 +286,14 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
   } else if (!gate.try_lock()) {
     // Another thread is flushing this shard; its re-check loop will pick up
     // whatever filled the window meanwhile.
-    return;
+    return 0;
   }
 
+  int64_t spent = 0;
   for (;;) {
     Timer timer;
     size_t take = 0;
-    std::vector<size_t> survivor_from;
+    std::vector<uint32_t> id_map;
     auto staged = std::make_unique<std::vector<CachedQuery>>();
     std::vector<uint64_t> staged_hashes;
     const uint64_t now = queries_processed_.load(std::memory_order_relaxed);
@@ -298,7 +305,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       // the shard above capacity with no later flush to correct it.
       take = std::min(shard.window.size(), shard_window_);
       if (take == 0 || (!force && shard.window.size() < shard_window_)) {
-        return;
+        return spent;
       }
       const std::vector<CachedQuery>& entries = *shard.entries;
 
@@ -309,27 +316,12 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       std::lock_guard<std::mutex> credits(shard.credit_mutex);
       const size_t target_old =
           shard_capacity_ > take ? shard_capacity_ - take : 0;
-      std::vector<bool> evicted(entries.size(), false);
-      if (entries.size() > target_old) {
-        const size_t evict = entries.size() - target_old;
-        std::vector<size_t> order(entries.size());
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(
-            order.begin(), order.end(), [&](size_t a, size_t b) {
-              const double sa = EvictionScore(options_.replacement_policy,
-                                              entries[a], now);
-              const double sb = EvictionScore(options_.replacement_policy,
-                                              entries[b], now);
-              if (sa != sb) return sa < sb;
-              return entries[a].id < entries[b].id;  // older first
-            });
-        for (size_t i = 0; i < evict; ++i) evicted[order[i]] = true;
-      }
+      id_map = EvictionIdMap(options_.replacement_policy, entries, now,
+                             target_old);
       staged->reserve(entries.size() + take);
       staged_hashes.reserve(entries.size() + take);
       for (size_t i = 0; i < entries.size(); ++i) {
-        if (!evicted[i]) {
-          survivor_from.push_back(i);
+        if (id_map[i] != kDroppedId) {
           staged->push_back(entries[i]);
           staged_hashes.push_back(shard.entry_hashes[i]);
         }
@@ -342,10 +334,12 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
 
     // Deferred tombstone compaction, off-lock on the staged copies: dark
     // survivors get their answers rewritten (answer \ dead set) and their
-    // flag cleared, so the fresh indexes below re-admit them — this is the
-    // point where a removal's lazy bookkeeping fully settles. Entries
-    // patched by ApplyGraphAdded while dark are already add-current, so
-    // the subtraction alone makes them fresh.
+    // flag cleared, so they rejoin the probe path with the swap below — this
+    // is the point where a removal's lazy bookkeeping fully settles. Their
+    // postings never left the indexes (an entry goes dark only after it was
+    // indexed; probes skip it meanwhile), so the relink keeps them as they
+    // are. Entries patched by ApplyGraphAdded while dark are already
+    // add-current, so the subtraction alone makes them fresh.
     if (!dead_ids_.empty()) {
       std::vector<GraphId> member_ids, live_ids;
       for (CachedQuery& record : *staged) {
@@ -357,26 +351,30 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       }
     }
 
-    // Shadow rebuild (§5.2) with no structure lock held: probes keep
-    // running against the old entries/indexes while the fresh ones build.
-    IsubIndex fresh_isub(enumerator_options_);
-    fresh_isub.Build(*staged);
-    IsuperIndex fresh_isuper(enumerator_options_);
-    fresh_isuper.Build(*staged);
+    // Index relink (§5.2) with no structure lock held: probes keep running
+    // against the old entries/indexes, which stay immutable, while a copy
+    // is relinked over the staged entries. Reading the live indexes here
+    // needs no structure lock — the gate held above makes this the only
+    // path that ever replaces them.
+    IgqIndex fresh_index = shard.index;
+    fresh_index.Relink(*staged, id_map);
 
     bool more = false;
     {
       std::unique_lock<std::shared_mutex> lock(shard.mutex);
-      // Credits landed on the old entries while the rebuild ran; carry the
+      // Credits landed on the old entries while the relink ran; carry the
       // freshest metadata over to the surviving copies. Positions are
       // stable: only this (gated) path restructures entries. Window slots
       // need the same carry-over since the canonical fast path can credit
       // entries that are still in the window.
-      for (size_t i = 0; i < survivor_from.size(); ++i) {
-        (*staged)[i].meta = (*shard.entries)[survivor_from[i]].meta;
+      for (size_t i = 0; i < id_map.size(); ++i) {
+        if (id_map[i] != kDroppedId) {
+          (*staged)[id_map[i]].meta = (*shard.entries)[i].meta;
+        }
       }
+      const size_t kept = staged->size() - take;
       for (size_t i = 0; i < take; ++i) {
-        (*staged)[survivor_from.size() + i].meta = shard.window[i].meta;
+        (*staged)[kept + i].meta = shard.window[i].meta;
       }
       // The indexes point at the vector *object* behind the unique_ptr;
       // moving the pointer in preserves that address.
@@ -387,8 +385,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       shard.window_hashes.erase(
           shard.window_hashes.begin(),
           shard.window_hashes.begin() + static_cast<ptrdiff_t>(take));
-      shard.isub = std::move(fresh_isub);
-      shard.isuper = std::move(fresh_isuper);
+      shard.index = std::move(fresh_index);
       // Evictions, window promotions, and the window shift above all moved
       // canonical keys around; rewrite this shard's slice of the map while
       // the exclusive lock still blocks lookups from chasing dead refs.
@@ -396,9 +393,10 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       more = shard.window.size() >= shard_window_ ||
              (force && !shard.window.empty());
     }
-    maintenance_micros_.fetch_add(timer.ElapsedMicros(),
-                                  std::memory_order_relaxed);
-    if (!more) return;
+    const int64_t elapsed = timer.ElapsedMicros();
+    maintenance_micros_.fetch_add(elapsed, std::memory_order_relaxed);
+    spent += elapsed;
+    if (!more) return spent;
   }
 }
 
@@ -435,9 +433,9 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
   if (!dead_ids_.empty()) {
     dead_set_.AssignSortedUnique(dead_ids_, universe_);
   }
-  // Direct containment tests instead of the probe indexes: entries marked
-  // or revived since the last shadow rebuild are invisible to the indexes,
-  // and a missed patch here would become a stale answer later. The quick
+  // Direct containment tests instead of the probe indexes: window entries
+  // have no postings, and dark entries must be patched too (a missed patch
+  // here would become a stale answer after compaction). The quick
   // size comparison rejects most non-relationships before any isomorphism
   // work; both compiled halves live in this thread's match scratch.
   MatchContext& ctx = MatchContext::ThreadLocal();
@@ -552,12 +550,12 @@ size_t ShardedQueryCache::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    bytes += sizeof(Shard) + shard->isub.MemoryBytes() +
-             shard->isuper.MemoryBytes();
+    bytes += sizeof(Shard) + shard->index.MemoryBytes();
     for (const CachedQuery& record : *shard->entries) {
       bytes += record.graph.MemoryBytes();
       bytes += record.answer.MemoryBytes();
       bytes += record.canonical.capacity();
+      bytes += record.features.capacity() * sizeof(record.features[0]);
       bytes += sizeof(CachedQuery);
     }
   }
@@ -694,6 +692,7 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
       if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
         return false;
       }
+      record.features = SortPathFeatures(ExtractFeatures(record.graph));
       stage.entries.push_back(std::move(record));
     }
     uint64_t num_window = 0;
@@ -705,21 +704,21 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
       if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
         return false;
       }
+      record.features = SortPathFeatures(ExtractFeatures(record.graph));
       stage.window.push_back(std::move(record));
     }
   }
 
-  // Commit and shadow-rebuild each shard's indexes (§5.2). Load requires
-  // quiescence; the exclusive locks below only keep stragglers correct.
+  // Commit and build each shard's indexes (the flush's relink, with every
+  // entry new). Load requires quiescence; the exclusive locks below only
+  // keep stragglers correct.
   Timer timer;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     auto entries = std::make_unique<std::vector<CachedQuery>>(
         std::move(staged[s].entries));
-    IsubIndex fresh_isub(enumerator_options_);
-    fresh_isub.Build(*entries);
-    IsuperIndex fresh_isuper(enumerator_options_);
-    fresh_isuper.Build(*entries);
+    IgqIndex fresh_index(enumerator_options_);
+    fresh_index.Build(*entries);
     std::vector<uint64_t> entry_hashes, window_hashes;
     entry_hashes.reserve(entries->size());
     for (const CachedQuery& record : *entries) {
@@ -734,8 +733,7 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     shard.window = std::move(staged[s].window);
     shard.entry_hashes = std::move(entry_hashes);
     shard.window_hashes = std::move(window_hashes);
-    shard.isub = std::move(fresh_isub);
-    shard.isuper = std::move(fresh_isuper);
+    shard.index = std::move(fresh_index);
   }
   // Rebuild the canonical map wholesale — it is derived data, like the
   // probe indexes. Shard locks are taken one at a time in shard order, so

@@ -13,16 +13,17 @@
 //   * Metadata credits (§5.1 H/R/C updates) happen under the shared lock
 //     plus a tiny per-shard credit mutex, so probing is never serialized by
 //     bookkeeping.
-//   * Maintenance (window flush: §5.1 eviction + §5.2 shadow rebuild) is a
-//     deferred single-writer path. The flushing thread stages survivors and
-//     builds the fresh Isub/Isuper outside any structure lock, then swaps
-//     the new state in under a brief exclusive lock. Readers never wait on
-//     eviction or index building — only on the O(1) swap.
+//   * Maintenance (window flush: §5.1 eviction + §5.2 index relink) is a
+//     deferred single-writer path. The flushing thread stages survivors,
+//     copies the shard's Isub/Isuper and relinks the copies outside any
+//     structure lock, then swaps the new state in under a brief exclusive
+//     lock. Readers never wait on eviction or index maintenance — only on
+//     the O(1) swap.
 //
 // Equivalence: any cache content yields exact answers (pruning only uses
 // verified containment facts), so ConcurrentQueryEngine answers match the
 // sequential QueryEngine query for query. Eviction victims are chosen by
-// the same EvictionScore as QueryCache::Flush, over a §5.1 metadata
+// the same EvictionIdMap as QueryCache::Flush, over a §5.1 metadata
 // snapshot taken when the flush begins.
 #ifndef IGQ_IGQ_SHARDED_CACHE_H_
 #define IGQ_IGQ_SHARDED_CACHE_H_
@@ -41,8 +42,7 @@
 
 #include "features/feature_set.h"
 #include "features/path_enumerator.h"
-#include "igq/isub_index.h"
-#include "igq/isuper_index.h"
+#include "igq/igq_index.h"
 #include "igq/options.h"
 #include "igq/query_record.h"
 
@@ -168,11 +168,13 @@ class ShardedQueryCache {
   /// thread (skipped if another thread is already flushing that shard).
   /// Duplicates — structurally equal graphs already cached or queued in the
   /// shard, which concurrent streams can race past the probe — are dropped.
-  /// The two-argument form computes the canonical key itself; engines pass
-  /// the key they already computed for the fast-path lookup.
-  void Insert(const Graph& query, std::vector<GraphId> answer);
-  void Insert(const Graph& query, std::vector<GraphId> answer,
-              std::string canonical);
+  /// Returns the microseconds this call spent flushing (0 if it did not
+  /// flush). The two-argument form computes the canonical key and the path
+  /// features itself; engines pass the key they already computed for the
+  /// fast-path lookup and the features they extracted for the probe.
+  int64_t Insert(const Graph& query, std::vector<GraphId> answer);
+  int64_t Insert(const Graph& query, std::vector<GraphId> answer,
+                 std::string canonical, const PathFeatureCounts& features);
 
   /// Forces window integration on every shard (snapshot symmetry with
   /// QueryCache::Flush; normal operation never needs it). Blocks until any
@@ -193,14 +195,14 @@ class ShardedQueryCache {
   /// add-current so compaction alone makes them fresh — and every window
   /// entry is containment-tested directly against the new graph and its
   /// answer re-derived over the grown universe (`id` appended on a match).
-  /// Direct tests, not the probe indexes: entries revived or marked since
-  /// the last shadow rebuild are invisible to the indexes.
+  /// Direct tests, not the probe indexes: window entries have no postings,
+  /// and a missed patch here would become a stale answer later.
   void ApplyGraphAdded(const Graph& graph, GraphId id,
                        QueryDirection direction);
 
   /// ApplyGraphRemoved: dataset graph `id` was tombstoned. Flushed entries
-  /// whose answer contains it go dark (tombstoned = true: skipped by probes
-  /// and by the next shadow rebuilds) until MaintainShard's gated staging
+  /// whose answer contains it go dark (tombstoned = true: their postings
+  /// stay, but probes skip them) until MaintainShard's gated staging
   /// compacts them (answer \ dead set, flag cleared). Window entries are
   /// patched eagerly — they are invisible to the probe indexes anyway.
   void ApplyGraphRemoved(GraphId id);
@@ -239,8 +241,8 @@ class ShardedQueryCache {
   void Save(snapshot::BinaryWriter& writer, uint64_t num_graphs,
             uint32_t dataset_crc) const;
 
-  /// Restores state saved by Save() and shadow-rebuilds every shard's
-  /// Isub/Isuper. Returns false — leaving this cache unchanged — on
+  /// Restores state saved by Save(), recomputes every entry's path features
+  /// and builds every shard's Isub/Isuper. Returns false — leaving this cache unchanged — on
   /// malformed input, a dataset mismatch, or a snapshot taken under
   /// different geometry (path_max_edges, capacity, window, shard count, or
   /// policy). NOT thread-safe: no other call may run concurrently.
@@ -250,8 +252,8 @@ class ShardedQueryCache {
  private:
   /// One shard: a slice of Igraphs with its own locks and indexes. The
   /// entries vector lives behind a unique_ptr so the indexes' internal
-  /// pointer to it survives the flush swap (the vector object the fresh
-  /// indexes were built over is moved in wholesale).
+  /// pointer to it survives the flush swap (the vector object the relinked
+  /// indexes point at is moved in wholesale).
   struct Shard {
     /// Structure lock: entries/window/indexes. Shared for probes, exclusive
     /// for Insert appends and the flush swap.
@@ -260,13 +262,15 @@ class ShardedQueryCache {
     /// structure lock (two sessions may credit the same entry at once).
     mutable std::mutex credit_mutex;
     /// Single-writer gate for the deferred flush; taken before any
-    /// structure lock on the same shard.
+    /// structure lock on the same shard. Its holder is the only writer of
+    /// `entries` and the indexes (Load aside, which requires quiescence),
+    /// so it may read them with no structure lock — that is how the flush
+    /// copies the indexes off-lock.
     std::mutex maintenance_mutex;
 
     std::unique_ptr<std::vector<CachedQuery>> entries;
     std::vector<CachedQuery> window;  // Itemp slice
-    IsubIndex isub;
-    IsuperIndex isuper;
+    IgqIndex index;  // Isub + Isuper
     /// GraphShardHash of each entries/window graph, kept aligned so
     /// Insert's duplicate scan under the exclusive lock compares 8-byte
     /// hashes (falling back to structural equality only on a hash match)
@@ -288,8 +292,8 @@ class ShardedQueryCache {
 
   /// The deferred flush: integrates `shard`'s window when due (always, if
   /// `force`). `wait` blocks for the maintenance gate instead of skipping
-  /// when another thread holds it.
-  void MaintainShard(size_t shard_index, bool force, bool wait);
+  /// when another thread holds it. Returns the microseconds it spent.
+  int64_t MaintainShard(size_t shard_index, bool force, bool wait);
 
   /// Rewrites canonical_index_ for one shard: drops every ref pointing into
   /// it, then re-registers its entries (first) and window (second), so

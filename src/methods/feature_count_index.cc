@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/id_map.h"
 #include "isomorphism/match_core.h"
 #include "serving/budget.h"
 #include "snapshot/serializer.h"
@@ -28,6 +29,21 @@ void FeatureCountIndex::AddGraph(GraphId id, const Graph& graph) {
   // it as a candidate of every query, which is the vacuous-containment rule.
   nf_[id] = static_cast<uint32_t>(features.size());
   ++num_indexed_;
+}
+
+void FeatureCountIndex::Relink(
+    std::span<const uint32_t> id_map,
+    std::span<const SortedPathFeatures* const> added) {
+  trie_.Relink(id_map, added);
+  nf_.resize(id_map.size(), kNotIndexed);  // trailing ids may be unindexed
+  CompactByIdMap(nf_, id_map);
+  for (const SortedPathFeatures* features : added) {
+    nf_.push_back(features != nullptr ? static_cast<uint32_t>(features->size())
+                                      : kNotIndexed);
+  }
+  num_indexed_ = static_cast<size_t>(
+      std::count_if(nf_.begin(), nf_.end(),
+                    [](uint32_t nf) { return nf != kNotIndexed; }));
 }
 
 std::vector<GraphId> FeatureCountIndex::FindPotentialSubgraphsOf(

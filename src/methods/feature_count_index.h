@@ -10,6 +10,7 @@
 #ifndef IGQ_METHODS_FEATURE_COUNT_INDEX_H_
 #define IGQ_METHODS_FEATURE_COUNT_INDEX_H_
 
+#include <span>
 #include <vector>
 
 #include "common/id_set.h"
@@ -35,6 +36,13 @@ class FeatureCountIndex {
   /// Indexes `graph` under `id`. Ids must be added in increasing order.
   void AddGraph(GraphId id, const Graph& graph);
 
+  /// Incremental reindexing over precomputed features (PathTrie::Relink,
+  /// same contract): renumbers the kept graphs through `id_map`, compacts
+  /// the NF table the same way, and indexes `added[i]` under id
+  /// kept + i (a null entry is reserved but never a candidate).
+  void Relink(std::span<const uint32_t> id_map,
+              std::span<const SortedPathFeatures* const> added);
+
   /// Algorithm 2: ids of indexed graphs that may be subgraphs of `query`
   /// (every indexed feature of the graph occurs in the query with at least
   /// the graph's multiplicity). No false negatives. Candidates come back
@@ -52,6 +60,12 @@ class FeatureCountIndex {
   /// the Isuper probe index calls (`bench_micro_core --smoke` gates it).
   void FindPotentialSubgraphsOf(const PathFeatureCounts& query_features,
                                 std::vector<GraphId>* out) const;
+
+  /// Postings of feature `key` ({graph, occurrences}, ascending graph id),
+  /// or nullptr if no indexed graph has the feature.
+  const std::vector<PathPosting>* Postings(PathKey key) const {
+    return trie_.Find(key);
+  }
 
   size_t NumGraphs() const { return num_indexed_; }
   size_t MemoryBytes() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/id_map.h"
 #include "snapshot/serializer.h"
 
 namespace igq {
@@ -62,6 +63,60 @@ void PathTrie::Add(PathKey key, uint32_t graph_id, uint32_t count,
         posting.locations.end());
   }
   postings.push_back(std::move(posting));
+}
+
+void PathTrie::Relink(std::span<const uint32_t> id_map,
+                      std::span<const SortedPathFeatures* const> added) {
+  // Remap postings and find the live nodes. A child is always created
+  // after its parent (DescendOrCreate appends, Load requires it), so one
+  // reverse pass sees every child before its parent.
+  std::vector<uint8_t> live(nodes_.size(), 0);
+  for (size_t n = nodes_.size(); n-- > 0;) {
+    Node& node = nodes_[n];
+    size_t kept = 0;
+    for (PathPosting& posting : node.postings) {
+      const uint32_t id = id_map[posting.graph_id];
+      if (id == kDroppedId) continue;
+      posting.graph_id = id;
+      if (&node.postings[kept] != &posting) {
+        node.postings[kept] = std::move(posting);
+      }
+      ++kept;
+    }
+    node.postings.erase(node.postings.begin() + static_cast<ptrdiff_t>(kept),
+                        node.postings.end());
+    live[n] = kept > 0 ? 1 : 0;
+    for (const auto& [label, child] : node.children) live[n] |= live[child];
+  }
+  live[0] = 1;  // the root stays, even over an empty index
+
+  // Compact the live nodes in place, keeping their order (so children still
+  // follow their parents), and drop the dead children from every list.
+  std::vector<uint32_t> new_index(nodes_.size(), 0);
+  uint32_t next = 0;
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    if (live[n]) new_index[n] = next++;
+  }
+  num_features_ = 0;
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    if (!live[n]) continue;
+    Node& node = nodes_[n];
+    std::erase_if(node.children,
+                  [&live](const auto& entry) { return !live[entry.second]; });
+    for (auto& entry : node.children) entry.second = new_index[entry.second];
+    if (!node.postings.empty()) ++num_features_;
+    if (new_index[n] != n) nodes_[new_index[n]] = std::move(node);
+  }
+  nodes_.erase(nodes_.begin() + next, nodes_.end());
+
+  // Post the new graphs after every survivor.
+  const uint32_t first_added = static_cast<uint32_t>(KeptIdCount(id_map));
+  for (size_t i = 0; i < added.size(); ++i) {
+    if (added[i] == nullptr) continue;
+    for (const auto& [key, count] : *added[i]) {
+      Add(key, first_added + static_cast<uint32_t>(i), count);
+    }
+  }
 }
 
 const std::vector<PathPosting>* PathTrie::Find(PathKey key) const {

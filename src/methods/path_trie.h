@@ -43,6 +43,22 @@ class PathTrie {
   void Add(PathKey key, uint32_t graph_id, uint32_t count,
            const std::vector<VertexId>* locations = nullptr);
 
+  /// Incremental reindexing — the one maintenance entry point of the
+  /// cached-query index (IgqIndex, through FeatureCountIndex::Relink).
+  /// First every posting's graph id is rewritten through `id_map`
+  /// (common/id_map.h: old id -> dense new rank, or kDroppedId to drop the
+  /// posting; it must cover every posted id), so each posting list stays
+  /// sorted. Nodes left with no postings in their subtree are pruned: a
+  /// feature whose last graph was dropped is gone (Find returns nullptr)
+  /// and the trie does not keep growing with features no indexed graph
+  /// holds. Then `added[i]` is posted under id kept + i
+  /// (kept = KeptIdCount(id_map)) — after every survivor, so the lists stay
+  /// sorted; a null entry reserves its id with no postings. Building from
+  /// scratch is the case of an empty trie and an empty map. Never stores
+  /// locations.
+  void Relink(std::span<const uint32_t> id_map,
+              std::span<const SortedPathFeatures* const> added);
+
   /// Postings of `key`, or nullptr if the feature is absent.
   const std::vector<PathPosting>* Find(PathKey key) const;
 

@@ -19,6 +19,7 @@
 #include "igq/mutation.h"
 #include "igq/sharded_cache.h"
 #include "methods/registry.h"
+#include "snapshot/serializer.h"
 #include "tests/test_util.h"
 
 namespace igq {
@@ -584,6 +585,128 @@ TEST(ShardedCacheTest, SupergraphDirectionPatchesContainedGraphs) {
   ASSERT_TRUE(session.has_exact());
   EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
             (std::vector<GraphId>{0, 5}));
+}
+
+// ---- Incremental §5.2 relink on the sharded cache. ----
+
+// Probes both caches with `probes` and requires identical Isub/Isuper hits
+// (shard and position), exact-match shortcut and probe test counts.
+void ExpectSameProbes(ShardedQueryCache& cache, ShardedQueryCache& reference,
+                      const std::vector<Graph>& probes,
+                      const std::string& where) {
+  auto same_hits = [](const std::vector<ShardedQueryCache::Hit>& a,
+                      const std::vector<ShardedQueryCache::Hit>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].shard != b[i].shard || a[i].position != b[i].position) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const PathFeatureCounts features = cache.ExtractFeatures(probes[p]);
+    auto live = cache.Probe(probes[p], features);
+    auto fresh = reference.Probe(probes[p], features);
+    ASSERT_TRUE(same_hits(live.supergraph_hits(), fresh.supergraph_hits()))
+        << where << " probe " << p;
+    ASSERT_TRUE(same_hits(live.subgraph_hits(), fresh.subgraph_hits()))
+        << where << " probe " << p;
+    ASSERT_EQ(live.has_exact(), fresh.has_exact()) << where << " probe " << p;
+    ASSERT_EQ(live.probe_iso_tests(), fresh.probe_iso_tests())
+        << where << " probe " << p;
+  }
+}
+
+TEST(ShardedCacheTest, RelinkMatchesFreshBuildThroughDarkEntriesAndRevives) {
+  // Small shards flushed hundreds of times under every replacement policy,
+  // with removals darkening entries and re-inserts reviving dark
+  // duplicates between flushes. Whenever no entry is dark, the relinked
+  // indexes must probe exactly like indexes built from scratch over the
+  // same entries — a Save/Load round trip, whose Load builds every shard's
+  // Isub/Isuper anew from recomputed features.
+  constexpr GraphId kUniverse = 12;
+  Rng rng(83);
+  const Graph source = RandomConnectedGraph(rng, 18, 9, 3);
+  std::vector<Graph> pool;
+  for (int i = 0; i < 48; ++i) {
+    pool.push_back(RandomSubgraphOf(rng, source, 2 + rng.Below(9)));
+  }
+  std::vector<Graph> probes(pool.begin(), pool.begin() + 10);
+  for (int i = 0; i < 6; ++i) {
+    probes.push_back(RandomSubgraphOf(rng, source, 1 + rng.Below(12)));
+  }
+
+  for (size_t shards : {size_t{1}, size_t{3}}) {
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::kUtility, ReplacementPolicy::kPopularity,
+          ReplacementPolicy::kLru, ReplacementPolicy::kFifo}) {
+      IgqOptions options;
+      options.cache_capacity = 12;
+      options.window_size = 3;
+      options.cache_shards = shards;
+      options.replacement_policy = policy;
+      options = ValidatedIgqOptions(options);
+      ShardedQueryCache cache(options, kUniverse);
+      const std::string label = "shards " + std::to_string(shards) +
+                                " policy " +
+                                std::to_string(static_cast<int>(policy));
+      Rng stream(shards * 17 + static_cast<size_t>(policy));
+      std::vector<GraphId> live;
+      for (GraphId id = 0; id < kUniverse; ++id) live.push_back(id);
+      auto random_answer = [&] {
+        std::vector<GraphId> answer;
+        for (GraphId id : live) {
+          if (stream.Chance(0.4)) answer.push_back(id);
+        }
+        return answer;
+      };
+      size_t checks = 0, checks_after_dark = 0, revives = 0;
+      bool saw_dark = false;
+      for (int step = 0; step < 600; ++step) {
+        if (step % 40 == 36 && live.size() > 4) {
+          // A removal darkens the flushed entries holding the id.
+          const size_t victim = stream.Below(live.size());
+          cache.ApplyGraphRemoved(live[victim]);
+          live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
+          saw_dark |= cache.tombstoned_entries() > 0;
+        }
+        // Re-inserting a cached graph revives it if it is dark; dark
+        // entries last until the next FlushAll, so try harder meanwhile.
+        const std::vector<Graph> cached = cache.CachedGraphs();
+        const double reinsert = cache.tombstoned_entries() > 0 ? 0.8 : 0.25;
+        const Graph query = !cached.empty() && stream.Chance(reinsert)
+                                ? cached[stream.Below(cached.size())]
+                                : pool[stream.Below(pool.size())];
+        const size_t dark_before = cache.tombstoned_entries();
+        const size_t fill_before = cache.window_fill();
+        cache.Insert(query, random_answer());
+        if (cache.tombstoned_entries() < dark_before &&
+            cache.window_fill() == fill_before) {
+          ++revives;
+        }
+        cache.RecordQueryProcessed();
+        if (step % 5 != 4) continue;
+        cache.FlushAll();
+        if (cache.tombstoned_entries() != 0) continue;  // compared once clean
+        std::stringstream bytes;
+        snapshot::BinaryWriter writer(bytes);
+        cache.Save(writer, kUniverse, 0);
+        ShardedQueryCache reference(options, kUniverse);
+        snapshot::BinaryReader reader(bytes);
+        ASSERT_TRUE(reference.Load(reader, kUniverse, 0)) << label;
+        ExpectSameProbes(cache, reference, probes,
+                         label + " step " + std::to_string(step));
+        if (::testing::Test::HasFatalFailure()) return;
+        ++checks;
+        checks_after_dark += saw_dark ? 1 : 0;
+        saw_dark = false;
+      }
+      EXPECT_GE(checks, 40u) << label;
+      EXPECT_GE(checks_after_dark, 5u) << label;
+      EXPECT_GE(revives, 1u) << label;
+    }
+  }
 }
 
 TEST(ConcurrentEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
